@@ -35,7 +35,7 @@ from .planner import (
 )
 from .scheduler import QueryScheduler, SelectionCache, SelectionCacheStats
 from .selection import Selection
-from .strategies import Strategy, strategy_from_env
+from ..strategies import Strategy, strategy_from_env
 
 __all__ = [
     "PDCQuery",

@@ -34,7 +34,7 @@ from .ast import Condition, QueryNode, combine_and, combine_or
 from .executor import QueryEngine, QueryResult
 from .region_constraint import HyperSlab, RegionConstraint
 from .selection import Selection
-from .strategies import Strategy
+from ..strategies import Strategy
 
 __all__ = [
     "PDCQuery",

@@ -45,7 +45,9 @@ import numpy as np
 
 from ..interval import Interval
 
-__all__ = ["ParallelRuntime", "DEFAULT_MIN_ELEMENTS", "FALLBACK_REASONS"]
+__all__ = [
+    "ParallelRuntime", "DEFAULT_MIN_ELEMENTS", "FALLBACK_REASONS", "inline_kernel",
+]
 
 #: Every reason a kernel can take the in-process path instead of the
 #: pool (the ``reason`` label of ``pdc_parallel_fallbacks_total``).
@@ -95,28 +97,59 @@ def _worker_array(gen: int, name: str) -> np.ndarray:
     return _WORKER_ARRAYS[name]
 
 
+def _mask_window(data: np.ndarray, interval: Interval, start: int,
+                 stop: int) -> np.ndarray:
+    """Hit coordinates of ``interval`` within ``[start, stop)``."""
+    return np.flatnonzero(interval.mask(data[start:stop])).astype(np.int64) + start
+
+
+def _recheck(data: np.ndarray, interval: Interval,
+             coords: np.ndarray) -> np.ndarray:
+    """Candidate re-check: the ``coords`` whose value matches."""
+    return coords[interval.mask(data[coords])]
+
+
+def _count_window(data: np.ndarray, interval: Interval, start: int,
+                  stop: int) -> int:
+    """Hit count of ``interval`` within ``[start, stop)`` (exact: a sum
+    of booleans is an integer, so chunk totals add without drift)."""
+    return int(interval.mask(data[start:stop]).sum())
+
+
+_INLINE_KERNELS = {"mask": _mask_window, "filter": _recheck, "count": _count_window}
+
+
+def inline_kernel(profiler, kind: str, obj, interval: Interval, *args):
+    """Run one hot kernel in-process — the serial engine's path and the
+    pool's fallback.  ``kind`` is "mask" (args ``cstart, cstop``),
+    "filter" (args ``coords``), or "count" (whole object, no args); the
+    optional wall profiler records it under ``kind``."""
+    if kind == "count":
+        args = (0, int(obj.n_elements))
+    t0 = profiler.timer() if profiler is not None else 0.0
+    out = _INLINE_KERNELS[kind](obj.data, interval, *args)
+    if profiler is not None:
+        n = int(args[0].size) if kind == "filter" else args[1] - args[0]
+        profiler.record_inline(kind, t0, profiler.timer(), n)
+    return out
+
+
 def _mask_span(gen: int, name: str, start: int, stop: int,
                interval: Interval) -> np.ndarray:
-    """Hit coordinates of ``interval`` within ``[start, stop)`` — the
-    per-partition form of :meth:`QueryEngine._mask_coords`."""
-    data = _worker_array(gen, name)
-    window = data[start:stop]
-    return np.flatnonzero(interval.mask(window)).astype(np.int64) + start
+    """One partition of the "mask" kernel, on the worker's snapshot."""
+    return _mask_window(_worker_array(gen, name), interval, start, stop)
 
 
 def _filter_span(gen: int, name: str, coords: np.ndarray,
                  interval: Interval) -> np.ndarray:
     """Candidate re-check over one slice of already-selected coords."""
-    data = _worker_array(gen, name)
-    return coords[interval.mask(data[coords])]
+    return _recheck(_worker_array(gen, name), interval, coords)
 
 
 def _count_span(gen: int, name: str, start: int, stop: int,
                 interval: Interval) -> int:
-    """Hit count of ``interval`` within ``[start, stop)`` (exact: a sum
-    of booleans is an integer, so chunk totals add without drift)."""
-    data = _worker_array(gen, name)
-    return int(interval.mask(data[start:stop]).sum())
+    """One partition of the "count" kernel, on the worker's snapshot."""
+    return _count_window(_worker_array(gen, name), interval, start, stop)
 
 
 def _result_bytes(out) -> int:
@@ -476,87 +509,55 @@ class ParallelRuntime:
     # ------------------------------------------------------------- kernels
     def mask_coords(self, obj, interval: Interval, cstart: int,
                     cstop: int) -> np.ndarray:
-        """Parallel :meth:`QueryEngine._mask_coords`: hit coordinates of
+        """Pooled "mask" kernel (:func:`inline_kernel`): hit coordinates of
         one condition within the constraint window, bit-identical to the
         serial kernel for any worker count."""
-        n = cstop - cstart
-        reason = self._pool_gate(n)
-        if reason is None and self._fresh_or_refork(obj):
+        def partition():
             spans = region_spans(obj, cstart, cstop, self.workers)
-            tasks = [(obj.name, a, b, interval) for a, b in spans]
-            sizes = [b - a for a, b in spans]
-            parts = (
-                self._run_tasks(_mask_span, tasks, "mask", sizes)
-                if tasks else []
-            )
-            if parts is not None:
-                out = self._concat_coords(parts)
-                self._finish_merge()
-                return out
-            reason = self._last_fallback_reason
-        self._fallback(reason)
-        prof = self.profiler
-        t0 = prof.timer() if prof is not None else 0.0
-        window = obj.data[cstart:cstop]
-        out = (
-            np.flatnonzero(interval.mask(window)).astype(np.int64) + cstart
-        )
-        if prof is not None:
-            prof.record_inline("mask", t0, prof.timer(), n)
-        return out
+            return [(obj.name, a, b, interval) for a, b in spans], [b - a for a, b in spans]
+
+        return self._pooled("mask", _mask_span, obj, interval, cstop - cstart,
+                            partition, self._concat_coords, cstart, cstop)
 
     def filter_coords(self, obj, interval: Interval,
                       coords: np.ndarray) -> np.ndarray:
         """Parallel candidate re-check: ``coords[interval.mask(data[coords])]``
         over contiguous coordinate slices, merged in slice order."""
-        reason = self._pool_gate(int(coords.size))
-        if reason is None and self._fresh_or_refork(obj):
-            slices = [
-                s for s in np.array_split(coords, self.workers) if s.size
-            ]
-            tasks = [(obj.name, s, interval) for s in slices]
-            sizes = [int(s.size) for s in slices]
-            parts = (
-                self._run_tasks(_filter_span, tasks, "filter", sizes)
-                if tasks else []
-            )
-            if parts is not None:
-                out = self._concat_coords(parts)
-                self._finish_merge()
-                return out
-            reason = self._last_fallback_reason
-        self._fallback(reason)
-        prof = self.profiler
-        t0 = prof.timer() if prof is not None else 0.0
-        out = coords[interval.mask(obj.data[coords])]
-        if prof is not None:
-            prof.record_inline("filter", t0, prof.timer(), int(coords.size))
-        return out
+        def partition():
+            slices = [s for s in np.array_split(coords, self.workers) if s.size]
+            return [(obj.name, s, interval) for s in slices], [int(s.size) for s in slices]
+
+        return self._pooled("filter", _filter_span, obj, interval, int(coords.size),
+                            partition, self._concat_coords, coords)
 
     def count_hits(self, obj, interval: Interval) -> int:
         """Parallel whole-object hit count (metadata+data queries)."""
         n = int(obj.n_elements)
+
+        def partition():
+            spans = region_spans(obj, 0, n, self.workers)
+            return [(obj.name, a, b, interval) for a, b in spans], [b - a for a, b in spans]
+
+        return self._pooled("count", _count_span, obj, interval, n, partition,
+                            lambda parts: int(sum(parts)))
+
+    def _pooled(self, kind: str, fn, obj, interval: Interval, n: int,
+                partition, merge, *args):
+        """Run one kernel on the pool: ``partition()`` gives the tasks (in
+        region order) and their sizes, ``merge`` joins the partial results
+        in that order.  Falls back to :func:`inline_kernel` (with ``args``)
+        whenever the pool cannot be used."""
         reason = self._pool_gate(n)
         if reason is None and self._fresh_or_refork(obj):
-            spans = region_spans(obj, 0, n, self.workers)
-            tasks = [(obj.name, a, b, interval) for a, b in spans]
-            sizes = [b - a for a, b in spans]
-            parts = (
-                self._run_tasks(_count_span, tasks, "count", sizes)
-                if tasks else []
-            )
+            tasks, sizes = partition()
+            parts = self._run_tasks(fn, tasks, kind, sizes) if tasks else []
             if parts is not None:
-                out = int(sum(parts))
+                out = merge(parts)
                 self._finish_merge()
                 return out
             reason = self._last_fallback_reason
         self._fallback(reason)
-        prof = self.profiler
-        t0 = prof.timer() if prof is not None else 0.0
-        out = int(interval.mask(obj.data).sum())
-        if prof is not None:
-            prof.record_inline("count", t0, prof.timer(), n)
-        return out
+        return inline_kernel(self.profiler, kind, obj, interval, *args)
 
     # ------------------------------------------------------------- plumbing
     def _fresh_or_refork(self, obj) -> bool:

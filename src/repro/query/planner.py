@@ -30,7 +30,7 @@ import numpy as np
 from ..histogram.selectivity import order_by_selectivity
 from ..interval import Interval
 from ..pdc.region import region_key
-from ..pdc.system import PDCSystem, StoredObject
+from ..pdc.system import PDCSystem, ReplicaGroup
 from ..strategies import Strategy
 from .ast import QueryNode, conjunct_intervals, to_dnf
 
@@ -41,6 +41,7 @@ __all__ = [
     "choose_strategy",
     "choose_get_data_strategy",
     "explain",
+    "replica_regions_of",
 ]
 
 #: Rough bytes of index bitmaps touched per (upper-bound) hit.
@@ -90,16 +91,37 @@ class PlanEstimate:
     notes: List[str] = field(default_factory=list)
 
 
-def _uncached_fraction(system: PDCSystem, obj: StoredObject, region_ids: np.ndarray) -> float:
-    """Fraction of the given regions not resident in any server cache."""
+def _uncached_fraction(
+    system: PDCSystem, name: str, region_ids: np.ndarray, replica: str = "orig"
+) -> float:
+    """Fraction of the given regions not resident on the server that
+    serves them — the executor's routing over the alive servers, so it
+    follows failovers and committed placements."""
     if region_ids.size == 0:
         return 0.0
-    missing = 0
-    for rid in region_ids:
-        server = system.servers[int(rid) % system.n_servers]
-        if not server.cache.contains(region_key(obj.name, int(rid))):
-            missing += 1
+    alive = system.alive_servers
+    owners = system.region_owner_positions(region_ids)
+    missing = sum(
+        not alive[pos].cache.contains(region_key(name, rid, replica=replica))
+        for rid, pos in zip(region_ids.tolist(), owners.tolist())
+    )
     return missing / region_ids.size
+
+
+def replica_regions_of(group: ReplicaGroup, coords: np.ndarray) -> np.ndarray:
+    """Sorted-replica region ids holding the given original coordinates,
+    via the replica's inverse permutation (built once, cached on the
+    group)."""
+    inv = getattr(group, "_inverse_perm", None)
+    if inv is None:
+        inv = np.empty_like(group.replica.permutation)
+        inv[group.replica.permutation] = np.arange(
+            group.replica.n_elements, dtype=np.int64
+        )
+        group._inverse_perm = inv
+    return np.minimum(
+        np.unique(inv[coords] // group.region_elements), group.n_regions - 1
+    )
 
 
 def _read_cost(system: PDCSystem, nbytes: float, n_accesses: float) -> float:
@@ -171,7 +193,7 @@ def estimate_plan(
             for j, (name, interval, sel, _) in enumerate(steps):
                 obj = system.get_object(name)
                 all_rids = np.arange(obj.n_regions, dtype=np.int64)
-                frac = _uncached_fraction(system, obj, all_rids)
+                frac = _uncached_fraction(system, obj.name, all_rids)
                 total += _read_cost(
                     system, obj.data.nbytes * frac, obj.n_regions * frac
                 )
@@ -203,12 +225,12 @@ def estimate_plan(
                 region_bytes = float(obj.counts[surviving].sum()) * obj.itemsize
                 if use_index:
                     touched = hits_ub * _INDEX_BYTES_PER_HIT + surviving.size * _INDEX_DIR_BYTES
-                    frac = _uncached_fraction(system, obj, surviving)
+                    frac = _uncached_fraction(system, obj.name, surviving)
                     total += _read_cost(system, touched / system.cost.virtual_scale * frac, surviving.size * frac)
                     total += system.cost.wah_scan_time(int(touched / 8))
                     path = "index-probe"
                 else:
-                    frac = _uncached_fraction(system, obj, surviving)
+                    frac = _uncached_fraction(system, obj.name, surviving)
                     total += _read_cost(system, region_bytes * frac, surviving.size * frac)
                     total += _scan_cost(
                         system,
@@ -311,30 +333,15 @@ def choose_get_data_strategy(
     itemsize = obj.itemsize
 
     orig_regions = np.unique(obj.region_of_coords(selection.coords))
-    frac_orig = _uncached_fraction(system, obj, orig_regions)
+    frac_orig = _uncached_fraction(system, obj.name, orig_regions)
     orig_bytes = float(obj.counts[orig_regions].sum()) * itemsize * frac_orig
 
-    # Replica path: map hits to sorted positions via the cached inverse
-    # permutation, then to replica regions.
-    inv = getattr(group, "_inverse_perm", None)
-    if inv is None:
-        inv = np.empty_like(group.replica.permutation)
-        inv[group.replica.permutation] = np.arange(
-            group.replica.n_elements, dtype=np.int64
-        )
-        group._inverse_perm = inv
-    positions = inv[selection.coords]
-    repl_regions = np.minimum(
-        np.unique(positions // group.region_elements), group.n_regions - 1
-    )
+    # Replica path: the replica regions holding the hits.
+    repl_regions = replica_regions_of(group, selection.coords)
     which = object_name if object_name != group.replica.key_name else "key"
-    missing = 0
-    for rid in repl_regions:
-        server = system.servers[int(rid) % system.n_servers]
-        key = region_key(group.replica.key_name, int(rid), replica=f"sorted:{which}")
-        if not server.cache.contains(key):
-            missing += 1
-    frac_repl = missing / repl_regions.size if repl_regions.size else 0.0
+    frac_repl = _uncached_fraction(
+        system, group.replica.key_name, repl_regions, replica=f"sorted:{which}"
+    )
     repl_bytes = float(group.counts[repl_regions].sum()) * itemsize * frac_repl
 
     if repl_bytes < orig_bytes or (
