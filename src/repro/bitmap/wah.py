@@ -11,6 +11,9 @@ numpy:
 * maximal runs of identical all-0/all-1 groups are stored as **fill words**
   (MSB = 1, bit 62 = fill value, low 62 bits = run length in groups).
 
+Encoding is array-only (:func:`_encode`): run heads, run lengths and one
+``np.repeat`` emit every word, with no Python loop per run; a 2-D stack of
+group rows is encoded in the same single pass, one word array per row.
 Logical operations decode to the *group* representation (one uint64 payload
 per 63-bit group — still word-aligned, which is exactly the property WAH is
 named for), combine with vectorized bitwise ops, and re-encode.  Bit counts
@@ -20,7 +23,7 @@ one-fill run lengths.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -38,6 +41,7 @@ __all__ = [
     "logical_or",
     "logical_not",
     "count_set_bits",
+    "stream_bit_counts",
     "compressed_nbytes",
 ]
 
@@ -92,34 +96,77 @@ def groups_to_bits(groups: np.ndarray, n_bits: int) -> np.ndarray:
 
 
 # ----------------------------------------------------------------- encode/decode
-def encode_groups(groups: np.ndarray) -> np.ndarray:
-    """Run-length encode group payloads into WAH words."""
-    groups = np.asarray(groups, dtype=np.uint64)
-    n = groups.size
-    if n == 0:
-        return np.zeros(0, dtype=np.uint64)
-    is_zero = groups == 0
-    is_ones = groups == _PAYLOAD_MASK
-    fillable = is_zero | is_ones
-    # Run boundaries: change of (fillable, value) signature.
-    sig = np.where(fillable, np.where(is_ones, 2, 1), 0)
-    change = np.flatnonzero(np.diff(sig) != 0) + 1
-    starts = np.concatenate(([0], change))
-    stops = np.concatenate((change, [n]))
+def _encode(
+    values: np.ndarray, lengths: Optional[np.ndarray], row_len: int = 0
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Canonical WAH words for run-length input, in array operations only.
 
-    out = []
-    max_run = int(_LEN_MASK)
-    for a, b in zip(starts, stops):
-        if sig[a] == 0:
-            out.append(groups[a:b])  # literals pass through
-            continue
-        fill_value = _FILL_VALUE if sig[a] == 2 else np.uint64(0)
-        run = b - a
-        while run > 0:
-            chunk = min(run, max_run)
-            out.append(np.array([_FILL_FLAG | fill_value | np.uint64(chunk)], dtype=np.uint64))
-            run -= chunk
-    return np.concatenate(out) if out else np.zeros(0, dtype=np.uint64)
+    ``values[i]`` repeats ``lengths[i]`` times (``None``: once each).  A
+    *run* is either one literal entry or a maximal stretch of same-valued
+    fill entries; each literal run emits its value ``length`` times and
+    each fill run emits ``ceil(L / cap)`` fill words (``cap`` is the
+    62-bit length field), all through one ``np.repeat``.  With
+    ``row_len > 0`` the input is a stack of rows of ``row_len`` entries
+    and runs never cross a row.
+
+    Returns ``(words, run_starts, run_ends)``: the words, the entry index
+    where each run starts and the word offset where each run ends.
+    """
+    n = values.size
+    # 0 = literal, 1 = zero fill, 2 = one fill.
+    sig = (values == 0).view(np.int8) + 2 * (values == _PAYLOAD_MASK).view(np.int8)
+    head = np.empty(n, dtype=bool)
+    head[0] = True
+    np.not_equal(sig[1:], sig[:-1], out=head[1:])
+    head[1:] |= sig[1:] == 0
+    if row_len:
+        head[::row_len] = True
+    run_starts = np.flatnonzero(head)
+    run_sig = sig[run_starts]
+    if lengths is None:
+        run_len = np.diff(np.append(run_starts, n))
+    else:
+        run_len = np.add.reduceat(lengths, run_starts)
+    fill = run_sig != 0
+    cap = int(_LEN_MASK)
+    run_words = np.where(fill, -(-run_len // cap), run_len)
+    base = np.where(
+        fill,
+        _FILL_FLAG | np.where(run_sig == 2, _FILL_VALUE, np.uint64(0)),
+        values[run_starts],
+    )
+    words = np.repeat(base, run_words)
+    # Every fill word but a run's last holds ``cap`` groups; the last holds
+    # the remainder.
+    fill_len = np.repeat(np.where(fill, cap, 0), run_words)
+    run_ends = np.cumsum(run_words)
+    last = fill & (run_words > 0)
+    fill_len[run_ends[last] - 1] = run_len[last] - (run_words[last] - 1) * cap
+    words |= fill_len.astype(np.uint64)
+    return words, run_starts, run_ends
+
+
+def encode_groups(groups: np.ndarray) -> Union[np.ndarray, List[np.ndarray]]:
+    """Run-length encode group payloads into WAH words.
+
+    A 1-D ``groups`` gives one word array.  A 2-D ``(rows, n_groups)``
+    stack gives a list with one word array per row, each equal to
+    ``encode_groups(groups[i])`` and all of them slices of one buffer:
+    every row is encoded in the same vectorized pass.
+    """
+    groups = np.asarray(groups, dtype=np.uint64)
+    if groups.ndim == 1:
+        if groups.size == 0:
+            return np.zeros(0, dtype=np.uint64)
+        return _encode(groups, None)[0]
+    n_rows, row_len = groups.shape
+    if groups.size == 0:
+        return [np.zeros(0, dtype=np.uint64) for _ in range(n_rows)]
+    words, run_starts, run_ends = _encode(groups.reshape(-1), None, row_len)
+    # Each row starts a run, so its words start where the previous run ends.
+    first_run = np.searchsorted(run_starts, np.arange(n_rows) * row_len)
+    offsets = np.concatenate(([0], run_ends))[first_run].tolist() + [words.size]
+    return [words[a:b] for a, b in zip(offsets[:-1], offsets[1:])]
 
 
 def decode_groups(words: np.ndarray) -> np.ndarray:
@@ -182,36 +229,11 @@ def _encode_runs(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     pass through — so the output is byte-identical to
     ``encode_groups(np.repeat(values, lengths))``.
     """
-    n = values.size
-    if n == 0:
+    if values.size == 0:
         return np.zeros(0, dtype=np.uint64)
-    is_zero = values == 0
-    is_ones = values == _PAYLOAD_MASK
-    sig = np.where(is_zero | is_ones, np.where(is_ones, 2, 1), 0)
-    change = np.flatnonzero(np.diff(sig) != 0) + 1
-    starts = np.concatenate(([0], change))
-    stops = np.concatenate((change, [n]))
-
-    out = []
-    max_run = int(_LEN_MASK)
-    for a, b in zip(starts, stops):
-        if sig[a] == 0:
-            # Literal groups: usually length-1 runs straight from a
-            # segment merge; expand the (rare) longer ones.
-            if bool((lengths[a:b] == 1).all()):
-                out.append(values[a:b])
-            else:
-                out.append(np.repeat(values[a:b], lengths[a:b]))
-            continue
-        fill_value = _FILL_VALUE if sig[a] == 2 else np.uint64(0)
-        run = int(lengths[a:b].sum())
-        while run > 0:
-            chunk = min(run, max_run)
-            out.append(
-                np.array([_FILL_FLAG | fill_value | np.uint64(chunk)], dtype=np.uint64)
-            )
-            run -= chunk
-    return np.concatenate(out) if out else np.zeros(0, dtype=np.uint64)
+    return _encode(
+        np.asarray(values, dtype=np.uint64), np.asarray(lengths, dtype=np.int64)
+    )[0]
 
 
 def _binary_op(w1: np.ndarray, w2: np.ndarray, op) -> np.ndarray:
@@ -282,14 +304,24 @@ def logical_not(words: np.ndarray, n_bits: int) -> np.ndarray:
 def count_set_bits(words: np.ndarray) -> int:
     """Population count directly on the compressed stream."""
     words = np.asarray(words, dtype=np.uint64)
-    if words.size == 0:
-        return 0
+    return int(stream_bit_counts(words, [words.size])[0])
+
+
+def stream_bit_counts(payload: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Set bits of each stream in a concatenation of compressed streams,
+    stream ``i`` being the next ``lengths[i]`` words of ``payload``: one
+    vectorized popcount over all words, then per-stream segment sums."""
+    words = np.asarray(payload, dtype=np.uint64)
     is_fill = (words & _FILL_FLAG) != 0
-    literals = words[~is_fill] & _PAYLOAD_MASK
-    lit_count = int(_popcount(literals).sum()) if literals.size else 0
-    ones_fills = words[is_fill & ((words & _FILL_VALUE) != 0)]
-    fill_count = int((ones_fills & _LEN_MASK).astype(np.int64).sum()) * GROUP_BITS
-    return lit_count + fill_count
+    one_fill = is_fill & ((words & _FILL_VALUE) != 0)
+    per_word = np.where(
+        is_fill,
+        np.where(one_fill, (words & _LEN_MASK).astype(np.int64) * GROUP_BITS, 0),
+        _popcount(words & _PAYLOAD_MASK).astype(np.int64),
+    )
+    cum = np.concatenate(([0], np.cumsum(per_word)))
+    bounds = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
+    return cum[bounds[1:]] - cum[bounds[:-1]]
 
 
 def compressed_nbytes(words: np.ndarray) -> int:

@@ -100,13 +100,25 @@ class SortedReplica:
             start = 0
         else:
             side = "left" if lo_closed else "right"
-            start = int(np.searchsorted(self.key_values, lo, side=side))
+            start = int(np.searchsorted(self.key_values, self._key_bound(lo), side=side))
         if hi is None:
             stop = self.n_elements
         else:
             side = "right" if hi_closed else "left"
-            stop = int(np.searchsorted(self.key_values, hi, side=side))
+            stop = int(np.searchsorted(self.key_values, self._key_bound(hi), side=side))
         return start, max(start, stop)
+
+    def _key_bound(self, bound):
+        """``bound`` in the key's dtype when that cast is exact, else as
+        given.  A bound of a wider dtype makes ``searchsorted`` convert the
+        whole key array on every call; an exact cast compares the same way
+        and skips that."""
+        with np.errstate(all="ignore"):
+            try:
+                cast = self.key_values.dtype.type(bound)
+            except (OverflowError, ValueError, TypeError):
+                return bound
+        return cast if cast.item() == bound else bound
 
     def original_coords(self, start: int, stop: int) -> np.ndarray:
         """Original-object coordinates of sorted run ``[start, stop)``."""

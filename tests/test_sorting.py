@@ -121,3 +121,47 @@ class TestSearchRange:
         r = SortedReplica.build("k", rng.random(10))
         with pytest.raises(QueryError):
             r.companion_slice("nope", 0, 1)
+
+
+class TestKeyDtypeBound:
+    """``search_range`` searches with the bound in the key's dtype when
+    the cast is exact; the run must equal a float64 search either way."""
+
+    @staticmethod
+    def _reference(keys, lo, hi, lc, hc):
+        wide = keys.astype(np.float64)
+        start = int(np.searchsorted(wide, np.float64(lo), side="left" if lc else "right"))
+        stop = int(np.searchsorted(wide, np.float64(hi), side="right" if hc else "left"))
+        return start, max(start, stop)
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.floats(-10.0, 10.0, width=32),
+        st.floats(-10.0, 10.0),
+        st.booleans(),
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_float32_key_matches_float64_search(self, seed, exact, inexact, lc, hc):
+        rng = np.random.default_rng(seed)
+        keys = rng.normal(0.0, 4.0, 500).astype(np.float32)
+        keys[::5] = exact  # ties with the exactly representable bound
+        r = SortedReplica.build("k", keys)
+        for lo, hi in ((exact, inexact), (inexact, exact), (exact, exact)):
+            lo, hi = min(lo, hi), max(lo, hi)
+            for bounds in ((lo, hi), (np.float64(lo), np.float64(hi))):
+                got = r.search_range(*bounds, lo_closed=lc, hi_closed=hc)
+                assert got == self._reference(r.key_values, lo, hi, lc, hc)
+
+    def test_cast_only_when_exact(self):
+        r = SortedReplica.build("k", np.array([0.5, 1.0, 2.0], dtype=np.float32))
+        assert r._key_bound(1.5).dtype == np.float32
+        assert r._key_bound(0.1) == 0.1 and isinstance(r._key_bound(0.1), float)
+        assert r._key_bound(1e300) == 1e300
+        assert np.isnan(r._key_bound(float("nan")))
+        ints = SortedReplica.build("k", np.arange(5, dtype=np.int64))
+        assert ints._key_bound(2.5) == 2.5
+        assert ints._key_bound(3.0).dtype == np.int64
+        assert ints._key_bound(float("inf")) == float("inf")
+        assert ints.search_range(1.5, 3.0) == (2, 4)
+        assert ints.search_range(-np.inf, np.inf) == (0, 5)
