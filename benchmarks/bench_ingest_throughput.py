@@ -21,7 +21,10 @@ Standalone (not pytest-benchmark): run as
   (the determinism gate the roadmap's reproducibility bar requires), or
 * delta-mode maintained state diverges from a from-scratch rebuild:
   every region's min/max and every interleaved answer must be
-  bit-identical across maintenance modes at the same simulated instants.
+  bit-identical across maintenance modes at the same simulated instants,
+  and once every outstanding delta region is compacted, each region's
+  bitmap bytes and each ``/pdc/index/*`` file must match across modes,
+  with every file holding exactly its object's concatenated bitmaps.
 
 Results are appended as JSON under ``benchmarks/results/``.
 """
@@ -182,7 +185,26 @@ def run_mode(mode: str, n_elements: int, schedule, query_seed: int):
         sort_keys=True,
     )
     row["fingerprint"] = hashlib.sha256(payload.encode("utf-8")).hexdigest()
-    return row
+    return row, system
+
+
+def compacted_index_state(system: PDCSystem):
+    """Fold every outstanding WAH delta segment, then return each indexed
+    object's per-region bitmap bytes and its index-file bytes; the names
+    of objects whose file differs from its concatenated bitmaps come
+    back separately."""
+    state, mismatched = {}, []
+    for name, obj in sorted(system.objects.items()):
+        if obj.indexes is None:
+            continue
+        if obj.index_delta_counts is not None and obj.index_delta_counts.any():
+            system.compact_region_index(name, np.flatnonzero(obj.index_delta_counts))
+        regions = [idx.to_bytes().tobytes() for idx in obj.indexes]
+        on_file = system.pfs.read(f"/pdc/index/{name}").tobytes()
+        if on_file != b"".join(regions):
+            mismatched.append(name)
+        state[name] = (regions, on_file)
+    return state, mismatched
 
 
 def main(argv=None) -> int:
@@ -214,10 +236,11 @@ def main(argv=None) -> int:
         n_elements = 1 << 16
 
     schedule = build_schedule(n_epochs, ops, write_size, n_elements, args.seed)
-    rows = [
-        run_mode(mode, n_elements, schedule, query_seed=args.seed + 1)
+    runs = {
+        mode: run_mode(mode, n_elements, schedule, query_seed=args.seed + 1)
         for mode in ("delta", "rebuild")
-    ]
+    }
+    rows = [row for row, _ in runs.values()]
 
     print(f"ingest throughput: {n_epochs} epochs x {ops} ops x "
           f"{write_size} elements, seed {args.seed}")
@@ -245,8 +268,24 @@ def main(argv=None) -> int:
         print("  equivalence: delta == rebuild (answers + min/max)  ok")
 
     if args.smoke:
-        repeat = run_mode("delta", n_elements, schedule,
-                          query_seed=args.seed + 1)
+        # Index gate: after compaction, delta-maintained bitmaps and
+        # index files are byte-identical to the rebuild-mode ones.
+        index_state = {}
+        for mode, (_, system) in runs.items():
+            index_state[mode], mismatched = compacted_index_state(system)
+            for name in mismatched:
+                print(f"  ERROR: {mode} /pdc/index/{name} differs from its "
+                      f"concatenated region bitmaps")
+                failures += 1
+        if index_state["delta"] != index_state["rebuild"]:
+            print("  ERROR: compacted delta-mode bitmaps or index files "
+                  "diverged from rebuild")
+            failures += 1
+        else:
+            print(f"  index: {len(index_state['delta'])} index files "
+                  f"delta == rebuild after compaction  ok")
+        repeat, _ = run_mode("delta", n_elements, schedule,
+                             query_seed=args.seed + 1)
         if repeat["fingerprint"] != delta["fingerprint"]:
             print("  ERROR: same-seed delta rerun diverged (nondeterminism)")
             failures += 1

@@ -249,10 +249,7 @@ class IngestStream:
             return None
         ops, self._pending = self._pending, []
         e = self.epoch_of(ops[0].t_s)
-        t = max(
-            max(op.t_s for op in ops),
-            max(c.now for c in self.system.all_clocks()),
-        )
+        t = max(max(op.t_s for op in ops), self.system.frontier())
         return self._apply(e, ops, apply_at=t)
 
     def _apply(self, epoch: int, ops: List[WriteOp], apply_at: float) -> EpochResult:
@@ -305,7 +302,7 @@ class IngestStream:
         self.epochs.append(result)
         if self.monitor.enabled:
             self.monitor.on_ingest_epoch(
-                sysm.sync_clocks(),
+                sysm.frontier(),
                 cfg.tenant,
                 epoch=result.epoch,
                 n_ops=result.n_ops,
@@ -328,26 +325,22 @@ class IngestStream:
         done = 0
         for name in sorted(result.regions):
             obj = sysm.objects.get(name)
-            if obj is None or obj.indexes is None:
+            if obj is None or obj.index_delta_counts is None:
                 continue
-            if obj.index_delta_counts is None:
+            due = {
+                rid: int(n_delta)
+                for rid, n_delta in enumerate(obj.index_delta_counts)
+                if n_delta
+                and n_delta >= cfg.index_compact_fraction * int(obj.counts[rid])
+            }
+            if not due:
                 continue
-            compacted_any = False
-            for rid in range(obj.n_regions):
-                n_delta = int(obj.index_delta_counts[rid])
-                if not n_delta:
-                    continue
-                if n_delta < cfg.index_compact_fraction * int(obj.counts[rid]):
-                    continue
-                sysm.compact_region_index(name, rid, rewrite_file=False)
-                compacted_any = True
-                done += 1
-                if self.monitor.enabled:
-                    self.monitor.on_compaction(
-                        sysm.sync_clocks(), name, rid, n_delta
-                    )
-            if compacted_any:
-                sysm._rewrite_index_file(obj)
+            sysm.compact_region_index(name, list(due))
+            done += len(due)
+            if self.monitor.enabled:
+                t = sysm.frontier()
+                for rid, n_delta in due.items():
+                    self.monitor.on_compaction(t, name, rid, n_delta)
         return done
 
     # -------------------------------------------------------------- reporting

@@ -181,6 +181,11 @@ class StoredObject:
             return DeviceKind.DISK
         return self.region_tier[region_id]
 
+    def region_data(self, region_id: int) -> np.ndarray:
+        """One region's payload (a view into :attr:`data`)."""
+        off = int(self.offsets[region_id])
+        return self.data[off : off + int(self.counts[region_id])]
+
     def region_of_coords(self, coords: np.ndarray) -> np.ndarray:
         """Region id of each element coordinate (uniform partitioning)."""
         return np.minimum(coords // self.region_elements, self.n_regions - 1)
@@ -228,16 +233,21 @@ class ReplicaGroup:
 
 @dataclass
 class _RegionDerived:
-    """Refreshed-but-uncommitted derived state for one region (the unit
-    of the write path's compute-then-commit atomicity)."""
+    """One region's derived state, computed but not yet committed (the
+    unit of the write path's compute-all-then-commit-all atomicity)."""
 
-    hist: MergeableHistogram
+    #: ``None`` for objects imported with ``build_histograms=False``.
+    hist: Optional[MergeableHistogram]
     rmin: float
     rmax: float
-    index: Optional[RegionBitmapIndex]
-    index_delta: int
-    dirty_elements: int
-    maint_seconds: float
+    #: Freshly built bitmap; ``None`` keeps the region's current one.
+    index: Optional[RegionBitmapIndex] = None
+    #: Elements added to the bitmap as WAH delta segments.
+    index_delta: int = 0
+    #: Elements overwritten since the histogram was last rebuilt.
+    dirty_elements: int = 0
+    #: ``"ingest_maint"`` charges to the owning server, in charge order.
+    maint: Tuple[float, ...] = ()
 
 
 def _new_write_stats() -> Dict[str, int]:
@@ -344,10 +354,14 @@ class PDCSystem:
     def all_clocks(self) -> List[SimClock]:
         return [s.clock for s in self.servers] + [self.client_clock]
 
+    def frontier(self) -> float:
+        """Latest simulated instant on any clock (a pure read)."""
+        return max(c.now for c in self.all_clocks())
+
     def sync_clocks(self) -> float:
         """Bulk-synchronous barrier across servers and client; returns the
         barrier instant."""
-        t = max(c.now for c in self.all_clocks())
+        t = self.frontier()
         for c in self.all_clocks():
             c.advance_to(t)
         return t
@@ -407,7 +421,7 @@ class PDCSystem:
         """Provision one new server in the JOINING state: its clock runs
         from the current frontier but it serves no regions until a
         rebalance commit activates it.  Returns the new server id."""
-        t = max(c.now for c in self.all_clocks())
+        t = self.frontier()
         sid = len(self.servers)
         server = PDCServer(
             sid, self.cost, self.config.server_memory_bytes, metrics=self.metrics
@@ -423,12 +437,12 @@ class PDCSystem:
     def drain_server(self, server_id: int) -> None:
         """Begin decommissioning: the server keeps serving its share
         until a rebalance commit migrates it away and retires it."""
-        t = max(c.now for c in self.all_clocks())
+        t = self.frontier()
         self.membership.drain(t, server_id)
 
     def retire_server(self, server_id: int) -> None:
         """Retire a drained (or never-activated joining) server."""
-        t = max(c.now for c in self.all_clocks())
+        t = self.frontier()
         self.membership.leave(t, server_id)
 
     def _on_membership_event(self, event) -> None:
@@ -456,7 +470,7 @@ class PDCSystem:
         elif kind == "recover":
             self._failed_servers.discard(sid)
             self._inactive_servers.discard(sid)
-            t = max(c.now for c in self.all_clocks())
+            t = self.frontier()
             self.servers[sid].clock.advance_to(t)
         elif kind == "leave":
             self._inactive_servers.add(sid)
@@ -506,7 +520,7 @@ class PDCSystem:
             return
         if state in SERVING_STATES and len(self.alive_servers) <= 1:
             raise PDCError("cannot fail the last alive server")
-        t = max(c.now for c in self.all_clocks())
+        t = self.frontier()
         self.membership.crash(t, server_id)
 
     def register_invalidation_hook(self, hook) -> None:
@@ -564,7 +578,7 @@ class PDCSystem:
             or self.membership.state(server_id) != CRASHED
         ):
             raise PDCError(f"server {server_id} is not failed")
-        t = max(c.now for c in self.all_clocks())
+        t = self.frontier()
         self.membership.recover(t, server_id)
 
     # ------------------------------------------------------------- containers
@@ -586,11 +600,13 @@ class PDCSystem:
     ) -> StoredObject:
         """Import a 1-D array as a PDC object.
 
-        Partitions into regions, writes the PDC data file (wide-striped)
-        and the comparison "HDF5" file (default-striped, sharing the same
-        payload array — no copy), builds per-region mergeable histograms and
-        the merged global histogram (§III-D2: generated automatically when
-        data is produced or imported), and registers metadata.
+        Partitions into regions, derives each region's fresh state
+        (:meth:`_fresh_region`: its mergeable histogram and exact
+        extrema), writes the PDC data file (wide-striped) and the
+        comparison "HDF5" file (default-striped, sharing the same payload
+        array — no copy), merges the global histogram (§III-D2: generated
+        automatically when data is produced or imported), and registers
+        metadata.
         """
         if name in self.objects:
             raise PDCError(f"object {name!r} exists")
@@ -607,6 +623,14 @@ class PDCSystem:
         pdc_type = pdc_type_of_dtype(data.dtype)
         region_elems = self.config.region_elements(data.dtype.itemsize)
         extents = partition(data.size, region_elems)
+        oid = self.metadata.allocate_object_id()
+        derived = [
+            self._fresh_region(
+                oid, rid, data[off : off + count], build_histograms, indexed=False
+            )
+            for rid, (off, count) in enumerate(extents)
+        ]
+
         file_path = f"/pdc/data/{name}"
         hdf5_path = f"/hdf5/{name}.h5"
         self.pfs.create(file_path, data, stripe_count=self.config.pdc_stripe_count)
@@ -616,38 +640,22 @@ class PDCSystem:
             stripe_count=self.config.hdf5_stripe_count,
             imbalance=self.config.hdf5_imbalance,
         )
-
-        oid = self.metadata.allocate_object_id()
-        regions: List[RegionMeta] = []
-        rmin = np.empty(len(extents))
-        rmax = np.empty(len(extents))
-        hist_by_region: Dict[int, MergeableHistogram] = {}
-        n_bins = self.config.histogram_bins_for(self.config.region_size_bytes)
-        for rid, (off, count) in enumerate(extents):
-            hist = None
-            if build_histograms:
-                hist = MergeableHistogram.from_data(
-                    data[off : off + count],
-                    n_bins=n_bins,
-                    seed=(oid * 100003 + rid) & 0x7FFFFFFF,
-                )
-                hist_by_region[rid] = hist
-                rmin[rid], rmax[rid] = hist.data_min, hist.data_max
-            else:
-                seg = data[off : off + count]
-                rmin[rid], rmax[rid] = float(seg.min()), float(seg.max())
-            regions.append(
-                RegionMeta(
-                    region_id=rid,
-                    object_name=name,
-                    offset=off,
-                    n_elements=count,
-                    file_path=file_path,
-                    histogram=hist,
-                )
+        regions = [
+            RegionMeta(
+                region_id=rid,
+                object_name=name,
+                offset=off,
+                n_elements=count,
+                file_path=file_path,
+                histogram=d.hist,
             )
-
-        global_hist = GlobalHistogram.build(hist_by_region) if hist_by_region else None
+            for rid, ((off, count), d) in enumerate(zip(extents, derived))
+        ]
+        global_hist = None
+        if build_histograms:
+            global_hist = GlobalHistogram.build(
+                {rid: d.hist for rid, d in enumerate(derived)}
+            )
         meta = ObjectMeta(
             name=name,
             object_id=oid,
@@ -673,12 +681,21 @@ class PDCSystem:
             region_elements=region_elems,
             offsets=np.array([e[0] for e in extents], dtype=np.int64),
             counts=np.array([e[1] for e in extents], dtype=np.int64),
-            rmin=rmin,
-            rmax=rmax,
+            rmin=np.array([d.rmin for d in derived], dtype=np.float64),
+            rmax=np.array([d.rmax for d in derived], dtype=np.float64),
             region_tier=[DeviceKind.DISK] * len(extents),
         )
         self.objects[name] = obj
         return obj
+
+    # -------------------------------------------------------------- write path
+    #
+    # Both writers follow one flow: derive every affected region's new
+    # state (``_RegionDerived``) from the candidate payload without
+    # touching the object, then apply the payload and hand the derived
+    # states to :meth:`_commit_write`.  Derivation is the only step that
+    # can fail, so a failed write leaves data, metadata, indexes, files,
+    # caches and clocks exactly as they were — there is nothing to undo.
 
     def update_object_region(
         self,
@@ -710,15 +727,12 @@ class PDCSystem:
           invalidated on every server regardless of policy;
         * stale cache entries on every server are invalidated.
 
-        The refresh is atomic: derived state is computed for every
-        affected region before any of it is committed or charged, and on
-        failure the payload write itself is rolled back — a mid-loop
-        error can no longer leave clocks charged for writes whose derived
-        state was never refreshed.
-
-        Returns the affected region ids.  Write time is charged to the
-        owning servers' clocks; delta-maintenance work is charged under
-        ``"ingest_maint"``.
+        The write is atomic: every affected region's state is derived
+        before the payload or anything else changes, so a failure leaves
+        the system untouched and charges nothing.  Each region's
+        ``"ingest_maint"`` charge (delta mode) is followed by its
+        ``"pfs_write"`` charge, region by region.  Returns the affected
+        region ids.
         """
         if maintenance not in ("rebuild", "delta"):
             raise PDCError(f"unknown maintenance mode {maintenance!r}")
@@ -733,50 +747,19 @@ class PDCSystem:
                 f"({obj.n_elements} elements)"
             )
         stats = _new_write_stats()
-        # Write through (obj.data is the same array the PFS file holds),
-        # keeping the overwritten payload for rollback and for the delta
-        # path's exact subtraction.
-        old = obj.data[offset:stop].copy()
-        obj.data[offset:stop] = values
         first = offset // obj.region_elements
-        last = (stop - 1) // obj.region_elements
-        affected = list(range(first, min(last, obj.n_regions - 1) + 1))
-
-        try:
-            refreshed = [
-                self._refresh_region_derived(
-                    obj, rid, offset, old, maintenance, rebuild_fraction, stats
+        last = min((stop - 1) // obj.region_elements, obj.n_regions - 1)
+        groups = [
+            {
+                rid: self._overwritten_region(
+                    obj, rid, offset, values, maintenance, rebuild_fraction, stats
                 )
-                for rid in affected
-            ]
-        except Exception:
-            # Atomic failure path: restore the payload so data and the
-            # (untouched) derived state agree again, conservatively
-            # invalidate caches, and charge nothing.
-            obj.data[offset:stop] = old
-            self._invalidate_region_caches(name, affected)
-            self._notify_invalidation(name, affected)
-            raise
-
-        for rid, derived in zip(affected, refreshed):
-            self._commit_region_derived(obj, rid, derived)
-            self._invalidate_region_caches(name, [rid])
-            count = int(obj.counts[rid])
-            server = self.servers[self.server_of_region(rid)]
-            server.clock.charge(
-                self.cost.pfs_write_time(
-                    count * obj.itemsize, 1, self.config.pdc_stripe_count
-                ),
-                "pfs_write",
-            )
-
-        self.remerge_global_histogram(name)
-        if any(d.index is not None for d in refreshed):
-            self._rewrite_index_file(obj)
-        self._handle_replica_staleness(name, values.size, stats)
-        self.last_write_stats = stats
-        self._notify_invalidation(name, affected)
-        return affected
+            }
+            for rid in range(first, last + 1)
+        ]
+        # Write through: obj.data is the array the PFS files hold.
+        obj.data[offset:stop] = values
+        return self._commit_write(obj, groups, values.size, stats)
 
     def append_to_object(
         self,
@@ -788,13 +771,19 @@ class PDCSystem:
         """Grow a 1-D object at the tail and maintain all derived state.
 
         The tail region absorbs elements up to the region size; further
-        elements open new regions (with fresh histograms and — when the
-        object is indexed — fresh bitmap indexes).  Under
-        ``maintenance="delta"`` the grown tail's histogram is updated by
-        an exact Algorithm 1 merge of the appended elements' delta
-        histogram and its bitmap gains a WAH delta segment instead of a
-        rebuild.  Returns the affected region ids (grown tail + new
-        regions).
+        elements open new regions with fresh state (:meth:`_fresh_region`).
+        Under ``maintenance="delta"`` the grown tail's histogram is
+        updated by an exact Algorithm 1 merge of the appended elements'
+        delta histogram and its bitmap gains a WAH delta segment instead
+        of a rebuild.  ``rebuild_fraction`` is accepted for signature
+        parity with :meth:`update_object_region` (appends overwrite
+        nothing).
+
+        Atomic like :meth:`update_object_region`: the grown payload,
+        offsets, region metadata and PFS files are installed only after
+        every affected region's state has been derived.  Every region's
+        ``"ingest_maint"`` charge precedes every ``"pfs_write"`` charge.
+        Returns the affected region ids (grown tail + new regions).
         """
         if maintenance not in ("rebuild", "delta"):
             raise PDCError(f"unknown maintenance mode {maintenance!r}")
@@ -806,13 +795,32 @@ class PDCSystem:
             raise PDCError("append payload must be non-empty 1-D")
         stats = _new_write_stats()
         old_n = obj.n_elements
-        old_n_regions = obj.n_regions
-        old_tail_count = int(obj.counts[old_n_regions - 1])
-
+        tail = obj.n_regions - 1
         data = np.concatenate([obj.data, values])
         extents = partition(data.size, obj.region_elements)
-        # The PFS files hold the payload array itself: recreate them so
-        # reads resolve against the grown array.
+
+        derived: Dict[int, _RegionDerived] = {}
+        off, count = extents[tail]
+        if count > int(obj.counts[tail]):
+            if (
+                maintenance == "delta"
+                and obj.meta.regions[tail].histogram is not None
+            ):
+                derived[tail] = self._appended_tail_delta(
+                    obj, tail, data[old_n : off + count], stats
+                )
+            else:
+                derived[tail] = self._rebuilt_region(
+                    obj, tail, data[off : off + count], maintenance, stats
+                )
+        for rid in range(tail + 1, len(extents)):
+            off, count = extents[rid]
+            derived[rid] = self._rebuilt_region(
+                obj, rid, data[off : off + count], maintenance, stats
+            )
+
+        # Install the grown payload; the PFS files hold the payload array
+        # itself, so recreate them to resolve reads against it.
         for path, stripe, imbalance in (
             (obj.file_path, self.config.pdc_stripe_count, 1.0),
             (obj.hdf5_path, self.config.hdf5_stripe_count, self.config.hdf5_imbalance),
@@ -824,8 +832,9 @@ class PDCSystem:
         obj.meta.n_elements = int(data.size)
         obj.offsets = np.array([e[0] for e in extents], dtype=np.int64)
         obj.counts = np.array([e[1] for e in extents], dtype=np.int64)
-        n_regions = len(extents)
-        grow = n_regions - old_n_regions
+        grow = len(extents) - (tail + 1)
+        tail_meta = obj.meta.regions[tail]
+        tail_meta.n_elements = int(obj.counts[tail])
         if grow:
             pad = np.zeros(grow)
             obj.rmin = np.concatenate([obj.rmin, pad])
@@ -838,126 +847,181 @@ class PDCSystem:
                 if arr is not None:
                     setattr(obj, arr_name, np.concatenate(
                         [arr, np.zeros(grow, dtype=np.int64)]))
-
-        affected: List[int] = []
-        tail = old_n_regions - 1
-        tail_grew = int(obj.counts[tail]) > old_tail_count
-        if tail_grew:
-            affected.append(tail)
-            self._refresh_appended_tail(obj, tail, old_n, maintenance, stats)
-        for rid in range(old_n_regions, n_regions):
-            affected.append(rid)
-            self._create_appended_region(obj, rid, maintenance, stats)
-
-        for rid in affected:
-            self._invalidate_region_caches(name, [rid])
-            count = int(obj.counts[rid])
-            server = self.servers[self.server_of_region(rid)]
-            server.clock.charge(
-                self.cost.pfs_write_time(
-                    count * obj.itemsize, 1, self.config.pdc_stripe_count
-                ),
-                "pfs_write",
+            if obj.indexes is not None:
+                obj.indexes.extend([None] * grow)
+            obj.meta.regions.extend(
+                RegionMeta(
+                    region_id=rid,
+                    object_name=obj.name,
+                    offset=e[0],
+                    n_elements=e[1],
+                    file_path=obj.file_path,
+                    index_path=tail_meta.index_path,
+                )
+                for rid, e in enumerate(extents[tail + 1 :], start=tail + 1)
             )
-
-        self.remerge_global_histogram(name)
-        if obj.indexes is not None:
-            self._rewrite_index_file(obj)
-        self._handle_replica_staleness(name, values.size, stats)
-        self.last_write_stats = stats
-        self._notify_invalidation(name, affected)
-        return affected
+        return self._commit_write(obj, [derived], values.size, stats)
 
     # ------------------------------------------------------ write-path helpers
-    def _refresh_region_derived(
-        self,
-        obj: StoredObject,
-        rid: int,
-        w_off: int,
-        old: np.ndarray,
-        maintenance: str,
-        rebuild_fraction: float,
-        stats: Dict[str, int],
-    ) -> "_RegionDerived":
-        """Compute (without committing) a region's refreshed derived
-        state after an overwrite of ``[w_off, w_off + old.size)``."""
-        roff, count = int(obj.offsets[rid]), int(obj.counts[rid])
-        segment = obj.data[roff : roff + count]
-        lo = max(w_off, roff)
-        hi = min(w_off + old.size, roff + count)
-        span = hi - lo
-        h = obj.meta.regions[rid].histogram
-        prev_dirty = 0
-        if obj.hist_dirty_elements is not None:
-            prev_dirty = int(obj.hist_dirty_elements[rid])
-        dirty = prev_dirty + span
-        maint = 0.0
-        use_delta = (
-            maintenance == "delta"
-            and h is not None
-            and dirty < rebuild_fraction * count
-        )
-        if use_delta:
-            old_span = old[lo - w_off : hi - w_off].astype(np.float64, copy=False)
-            new_span = segment[lo - roff : hi - roff].astype(np.float64, copy=False)
-            # Exact extrema: a removal can only disturb an extremum when
-            # an overwritten value attains it; then a charged region
-            # rescan recovers the truth.
-            if (
-                float(old_span.min()) <= h.data_min
-                or float(old_span.max()) >= h.data_max
-            ):
-                new_min = float(segment.min())
-                new_max = float(segment.max())
-                maint += self.cost.scan_time(count)
-                stats["minmax_rescans"] += 1
-            else:
-                new_min = min(h.data_min, float(new_span.min()))
-                new_max = max(h.data_max, float(new_span.max()))
-            delta_old = MergeableHistogram.from_data_width(old_span, h.bin_width)
-            delta_new = MergeableHistogram.from_data_width(new_span, h.bin_width)
-            hist = h.subtract(
-                delta_old, data_min=new_min, data_max=new_max
-            ).merge(delta_new)
-            maint += self.cost.scan_time(2 * span)
-            stats["hist_merges"] += 1
-            new_dirty = dirty
-        else:
+    def _fresh_region(
+        self, object_id: int, rid: int, segment: np.ndarray, histograms: bool, indexed: bool
+    ) -> _RegionDerived:
+        """A region's state derived from scratch: its histogram under the
+        bins/seed rule (none for histogram-less objects), its exact
+        extrema, and its bitmap when the object is indexed."""
+        hist = None
+        if histograms:
             hist = MergeableHistogram.from_data(
                 segment,
                 n_bins=self.config.histogram_bins_for(self.config.region_size_bytes),
-                seed=(obj.meta.object_id * 100003 + rid) & 0x7FFFFFFF,
+                seed=(object_id * 100003 + rid) & 0x7FFFFFFF,
             )
-            if maintenance == "delta":
-                maint += self.cost.scan_time(count)
-            stats["hist_rebuilds"] += 1
-            new_dirty = 0
+            lo, hi = hist.data_min, hist.data_max
+        else:
+            lo, hi = float(segment.min()), float(segment.max())
+        index = self._build_index(segment) if indexed else None
+        return _RegionDerived(hist=hist, rmin=lo, rmax=hi, index=index)
 
-        index = None
+    def _build_index(self, segment: np.ndarray) -> RegionBitmapIndex:
+        return RegionBitmapIndex.build(segment, precision=self.config.index_precision)
+
+    def _rebuilt_region(
+        self, obj: StoredObject, rid: int, segment: np.ndarray, maintenance: str,
+        stats: Dict[str, int],
+    ) -> _RegionDerived:
+        """A written region's fresh state; delta mode charges the region
+        scan under ``"ingest_maint"``, rebuild mode leaves it uncharged
+        (the legacy ``pfs_write``-only cost)."""
+        derived = self._fresh_region(
+            obj.meta.object_id, rid, segment,
+            obj.meta.global_histogram is not None, obj.indexes is not None,
+        )
+        if maintenance == "delta":
+            derived.maint = (self.cost.scan_time(int(segment.size)),)
+        stats["hist_rebuilds"] += int(derived.hist is not None)
+        stats["index_rebuilds"] += int(derived.index is not None)
+        return derived
+
+    def _overwritten_region(
+        self, obj: StoredObject, rid: int, w_off: int, values: np.ndarray,
+        maintenance: str, rebuild_fraction: float, stats: Dict[str, int],
+    ) -> _RegionDerived:
+        """Derive a region's state after ``values`` overwrite
+        ``[w_off, w_off + values.size)``, reading the payload as it
+        stands before the write."""
+        segment = obj.region_data(rid).copy()
+        roff = int(obj.offsets[rid])
+        lo = max(w_off, roff)
+        hi = min(w_off + values.size, roff + segment.size)
+        segment[lo - roff : hi - roff] = values[lo - w_off : hi - w_off]
+        dirty = hi - lo
+        if obj.hist_dirty_elements is not None:
+            dirty += int(obj.hist_dirty_elements[rid])
+        if (
+            maintenance == "delta"
+            and obj.meta.regions[rid].histogram is not None
+            and dirty < rebuild_fraction * segment.size
+        ):
+            return self._overwrite_delta(
+                obj, rid, segment, obj.data[lo:hi], lo - roff, dirty, stats
+            )
+        return self._rebuilt_region(obj, rid, segment, maintenance, stats)
+
+    def _overwrite_delta(
+        self, obj: StoredObject, rid: int, segment: np.ndarray, old_span: np.ndarray,
+        at: int, dirty: int, stats: Dict[str, int],
+    ) -> _RegionDerived:
+        """Delta merge of an overwrite: subtract the overwritten values'
+        same-grid histogram, merge the new values', and rescan the
+        region for exact extrema when a removed value attained one."""
+        h = obj.meta.regions[rid].histogram
+        span = old_span.size
+        old_span = old_span.astype(np.float64, copy=False)
+        new_span = segment[at : at + span].astype(np.float64, copy=False)
+        maint = 0.0
+        if float(old_span.min()) <= h.data_min or float(old_span.max()) >= h.data_max:
+            new_min, new_max = float(segment.min()), float(segment.max())
+            maint += self.cost.scan_time(segment.size)
+            stats["minmax_rescans"] += 1
+        else:
+            new_min = min(h.data_min, float(new_span.min()))
+            new_max = max(h.data_max, float(new_span.max()))
+        hist = h.subtract(
+            MergeableHistogram.from_data_width(old_span, h.bin_width),
+            data_min=new_min,
+            data_max=new_max,
+        ).merge(MergeableHistogram.from_data_width(new_span, h.bin_width))
+        maint += self.cost.scan_time(2 * span)
+        stats["hist_merges"] += 1
         index_delta = 0
         if obj.indexes is not None:
-            if use_delta:
-                index_delta = span
-                maint += self.cost.scan_time(span)
-                stats["index_delta_appends"] += 1
-            else:
-                index = RegionBitmapIndex.build(
-                    segment, precision=self.config.index_precision
-                )
-                stats["index_rebuilds"] += 1
-        return _RegionDerived(
-            hist=hist,
-            rmin=hist.data_min,
-            rmax=hist.data_max,
-            index=index,
-            index_delta=index_delta,
-            dirty_elements=new_dirty,
-            maint_seconds=maint,
-        )
+            index_delta = span
+            maint += self.cost.scan_time(span)
+            stats["index_delta_appends"] += 1
+        return _RegionDerived(hist, hist.data_min, hist.data_max, index_delta=index_delta,
+                              dirty_elements=dirty, maint=(maint,))
 
-    def _commit_region_derived(
-        self, obj: StoredObject, rid: int, derived: "_RegionDerived"
-    ) -> None:
+    def _appended_tail_delta(
+        self, obj: StoredObject, rid: int, appended: np.ndarray, stats: Dict[str, int]
+    ) -> _RegionDerived:
+        """Delta merge of an append into the tail region: a pure exact
+        merge (appends remove nothing), charged as one scan of the
+        appended elements for the histogram and one for the bitmap."""
+        h = obj.meta.regions[rid].histogram
+        hist = h.merge(
+            MergeableHistogram.from_data_width(
+                appended.astype(np.float64, copy=False), h.bin_width
+            )
+        )
+        stats["hist_merges"] += 1
+        scan = self.cost.scan_time(int(appended.size))
+        maint: Tuple[float, ...] = (scan,)
+        index_delta = 0
+        if obj.indexes is not None:
+            index_delta = int(appended.size)
+            maint = (scan, scan)
+            stats["index_delta_appends"] += 1
+        dirty = 0
+        if obj.hist_dirty_elements is not None:
+            dirty = int(obj.hist_dirty_elements[rid])
+        return _RegionDerived(hist, hist.data_min, hist.data_max, index_delta=index_delta,
+                              dirty_elements=dirty, maint=maint)
+
+    def _commit_write(
+        self, obj: StoredObject, groups: Sequence[Dict[int, _RegionDerived]],
+        n_written: int, stats: Dict[str, int],
+    ) -> List[int]:
+        """Commit derived region state and run the shared write tail.
+
+        Within each group, every region's state is committed and its
+        ``"ingest_maint"`` charged before the group's caches are
+        invalidated and its ``"pfs_write"`` charged; groups run in order.
+        Then the global histogram is re-merged, the index file rewritten
+        when some region's bitmap was rebuilt (an added region always
+        is), replica staleness applied, :attr:`last_write_stats` set and
+        invalidation hooks notified.  Returns the affected region ids.
+        """
+        affected: List[int] = []
+        for group in groups:
+            for rid, derived in group.items():
+                self._commit_region(obj, rid, derived)
+            self._invalidate_region_caches(obj.name, group)
+            for rid in group:
+                nbytes = int(obj.counts[rid]) * obj.itemsize
+                self._server_of(rid).clock.charge(
+                    self.cost.pfs_write_time(nbytes, 1, self.config.pdc_stripe_count),
+                    "pfs_write",
+                )
+            affected.extend(group)
+        self.remerge_global_histogram(obj.name)
+        if any(d.index is not None for group in groups for d in group.values()):
+            self._write_index_file(obj)
+        self._handle_replica_staleness(obj.name, n_written, stats)
+        self.last_write_stats = stats
+        self._notify_invalidation(obj.name, affected)
+        return affected
+
+    def _commit_region(self, obj: StoredObject, rid: int, derived: _RegionDerived) -> None:
         obj.meta.regions[rid].histogram = derived.hist
         obj.rmin[rid], obj.rmax[rid] = derived.rmin, derived.rmax
         if obj.hist_dirty_elements is None and derived.dirty_elements:
@@ -965,109 +1029,40 @@ class PDCSystem:
         if obj.hist_dirty_elements is not None:
             obj.hist_dirty_elements[rid] = derived.dirty_elements
         if derived.index is not None:
-            obj.indexes[rid] = derived.index
-            obj.index_nbytes[rid] = derived.index.nbytes
-            obj.index_words[rid] = derived.index.total_words()
-            if obj.index_delta_counts is not None:
-                obj.index_delta_counts[rid] = 0
+            self._set_index(obj, rid, derived.index)
         elif derived.index_delta:
             if obj.index_delta_counts is None:
                 obj.index_delta_counts = np.zeros(obj.n_regions, dtype=np.int64)
             obj.index_delta_counts[rid] += derived.index_delta
-        if derived.maint_seconds > 0.0:
-            server = self.servers[self.server_of_region(rid)]
-            server.clock.charge(derived.maint_seconds, "ingest_maint")
+        for seconds in derived.maint:
+            self._server_of(rid).clock.charge(seconds, "ingest_maint")
 
-    def _refresh_appended_tail(
-        self,
-        obj: StoredObject,
-        rid: int,
-        old_n: int,
-        maintenance: str,
-        stats: Dict[str, int],
-    ) -> None:
-        """Refresh the grown tail region after an append: a pure exact
-        merge in delta mode (appends remove nothing), a rebuild
-        otherwise."""
-        roff, count = int(obj.offsets[rid]), int(obj.counts[rid])
-        segment = obj.data[roff : roff + count]
-        appended = segment[old_n - roff :]
-        h = obj.meta.regions[rid].histogram
-        if maintenance == "delta" and h is not None:
-            delta = MergeableHistogram.from_data_width(
-                appended.astype(np.float64, copy=False), h.bin_width
-            )
-            hist = h.merge(delta)
-            server = self.servers[self.server_of_region(rid)]
-            server.clock.charge(
-                self.cost.scan_time(int(appended.size)), "ingest_maint"
-            )
-            stats["hist_merges"] += 1
-            if obj.indexes is not None:
-                if obj.index_delta_counts is None:
-                    obj.index_delta_counts = np.zeros(obj.n_regions, dtype=np.int64)
-                obj.index_delta_counts[rid] += int(appended.size)
-                server.clock.charge(
-                    self.cost.scan_time(int(appended.size)), "ingest_maint"
-                )
-                stats["index_delta_appends"] += 1
-        else:
-            hist = MergeableHistogram.from_data(
-                segment,
-                n_bins=self.config.histogram_bins_for(self.config.region_size_bytes),
-                seed=(obj.meta.object_id * 100003 + rid) & 0x7FFFFFFF,
-            )
-            stats["hist_rebuilds"] += 1
-            if obj.indexes is not None:
-                idx = RegionBitmapIndex.build(
-                    segment, precision=self.config.index_precision
-                )
-                obj.indexes[rid] = idx
-                obj.index_nbytes[rid] = idx.nbytes
-                obj.index_words[rid] = idx.total_words()
-                if obj.index_delta_counts is not None:
-                    obj.index_delta_counts[rid] = 0
-                stats["index_rebuilds"] += 1
-        obj.meta.regions[rid].histogram = hist
-        obj.meta.regions[rid].n_elements = count
-        obj.rmin[rid], obj.rmax[rid] = hist.data_min, hist.data_max
+    def _set_index(self, obj: StoredObject, rid: int, index: RegionBitmapIndex) -> None:
+        """Install a region's freshly built bitmap and its bookkeeping
+        (size, word count, and no outstanding delta segments)."""
+        obj.indexes[rid] = index
+        obj.index_nbytes[rid] = index.nbytes
+        obj.index_words[rid] = index.total_words()
+        if obj.index_delta_counts is not None:
+            obj.index_delta_counts[rid] = 0
 
-    def _create_appended_region(
-        self, obj: StoredObject, rid: int, maintenance: str, stats: Dict[str, int]
-    ) -> None:
-        """Materialize a brand-new region opened by an append (exact
-        histogram and index in either mode — there is nothing to patch)."""
-        roff, count = int(obj.offsets[rid]), int(obj.counts[rid])
-        segment = obj.data[roff : roff + count]
-        hist = MergeableHistogram.from_data(
-            segment,
-            n_bins=self.config.histogram_bins_for(self.config.region_size_bytes),
-            seed=(obj.meta.object_id * 100003 + rid) & 0x7FFFFFFF,
+    def _write_index_file(self, obj: StoredObject) -> str:
+        """(Re)write the object's one index file — every region's bitmap
+        bytes concatenated in region order (regions are extents within
+        it, like the data file) — and return its path.  Unclocked: the
+        callers charge the index writes themselves."""
+        path = f"/pdc/index/{obj.name}"
+        if self.pfs.exists(path):
+            self.pfs.delete(path)
+        self.pfs.create(
+            path,
+            np.concatenate([idx.to_bytes() for idx in obj.indexes]),
+            stripe_count=self.config.pdc_stripe_count,
         )
-        stats["hist_rebuilds"] += 1
-        obj.meta.regions.append(
-            RegionMeta(
-                region_id=rid,
-                object_name=obj.name,
-                offset=roff,
-                n_elements=count,
-                file_path=obj.file_path,
-                histogram=hist,
-            )
-        )
-        obj.rmin[rid], obj.rmax[rid] = hist.data_min, hist.data_max
-        if maintenance == "delta":
-            server = self.servers[self.server_of_region(rid)]
-            server.clock.charge(self.cost.scan_time(count), "ingest_maint")
-        if obj.indexes is not None:
-            idx = RegionBitmapIndex.build(
-                segment, precision=self.config.index_precision
-            )
-            obj.indexes.append(idx)
-            obj.index_nbytes[rid] = idx.nbytes
-            obj.index_words[rid] = idx.total_words()
-            obj.meta.regions[rid].index_path = f"/pdc/index/{obj.name}"
-            stats["index_rebuilds"] += 1
+        return path
+
+    def _server_of(self, rid: int) -> PDCServer:
+        return self.servers[self.server_of_region(rid)]
 
     def _invalidate_region_caches(self, name: str, region_ids: Sequence[int]) -> None:
         for server in self.servers:
@@ -1083,18 +1078,6 @@ class PDCSystem:
             obj.meta.global_histogram = GlobalHistogram.build(
                 {r.region_id: r.histogram for r in obj.meta.regions if r.histogram}
             )
-
-    def _rewrite_index_file(self, obj: StoredObject) -> None:
-        if obj.indexes is None:
-            return
-        path = f"/pdc/index/{obj.name}"
-        if self.pfs.exists(path):
-            self.pfs.delete(path)
-        self.pfs.create(
-            path,
-            np.concatenate([idx.to_bytes() for idx in obj.indexes]),
-            stripe_count=self.config.pdc_stripe_count,
-        )
 
     def _invalidate_replica_caches(self, key_name: str, group: ReplicaGroup) -> None:
         """Invalidate every server's cached sorted-replica bytes for one
@@ -1173,42 +1156,36 @@ class PDCSystem:
             s.clock.charge(new.build_time_s, "replica_rebuild")
         return new
 
-    def compact_region_index(
-        self, name: str, rid: int, rewrite_file: bool = True
-    ) -> int:
-        """Fold a region's WAH delta segments into a freshly built bitmap
-        (background compaction).  Charges a region scan plus the index
-        write to the owning server under ``"compaction"``; returns the
-        number of delta elements folded in."""
+    def compact_region_index(self, name: str, region_ids) -> int:
+        """Fold regions' WAH delta segments into freshly built bitmaps
+        (background compaction).  ``region_ids`` is one region id or a
+        sequence of them.  Charges each region's scan plus its index write
+        to the owning server under ``"compaction"``, region by region,
+        then rewrites the object's index file once; returns the number of
+        delta elements folded in."""
         obj = self.get_object(name)
         if obj.indexes is None:
             raise QueryError(f"object {name!r} has no index")
-        rid = int(rid)
-        if not (0 <= rid < obj.n_regions):
-            raise PDCError(f"object {name!r} has no region {rid}")
-        roff, count = int(obj.offsets[rid]), int(obj.counts[rid])
-        idx = RegionBitmapIndex.build(
-            obj.data[roff : roff + count], precision=self.config.index_precision
-        )
-        obj.indexes[rid] = idx
-        obj.index_nbytes[rid] = idx.nbytes
-        obj.index_words[rid] = idx.total_words()
+        rids = [int(r) for r in np.atleast_1d(region_ids)]
+        for rid in rids:
+            if not (0 <= rid < obj.n_regions):
+                raise PDCError(f"object {name!r} has no region {rid}")
         n_delta = 0
-        if obj.index_delta_counts is not None:
-            n_delta = int(obj.index_delta_counts[rid])
-            obj.index_delta_counts[rid] = 0
-        server = self.servers[self.server_of_region(rid)]
-        server.clock.charge(
-            self.cost.scan_time(count)
-            + self.cost.pfs_write_time(
-                int(idx.nbytes), 1, self.config.pdc_stripe_count
-            ),
-            "compaction",
-        )
-        for s in self.servers:
-            s.cache.invalidate(region_key(name, rid, replica="idx"))
-        if rewrite_file:
-            self._rewrite_index_file(obj)
+        for rid in rids:
+            idx = self._build_index(obj.region_data(rid))
+            if obj.index_delta_counts is not None:
+                n_delta += int(obj.index_delta_counts[rid])
+            self._set_index(obj, rid, idx)
+            self._server_of(rid).clock.charge(
+                self.cost.scan_time(int(obj.counts[rid]))
+                + self.cost.pfs_write_time(
+                    int(idx.nbytes), 1, self.config.pdc_stripe_count
+                ),
+                "compaction",
+            )
+            for s in self.servers:
+                s.cache.invalidate(region_key(name, rid, replica="idx"))
+        self._write_index_file(obj)
         return n_delta
 
     def migrate_regions(
@@ -1230,8 +1207,7 @@ class PDCSystem:
             if current == tier:
                 continue
             nbytes = int(obj.counts[rid]) * obj.itemsize
-            server = self.servers[self.server_of_region(rid)]
-            server.clock.charge(
+            self._server_of(rid).clock.charge(
                 self.cost.tier_read_time(
                     nbytes, 1, current, self.config.pdc_stripe_count
                 )
@@ -1251,12 +1227,7 @@ class PDCSystem:
         for path in (group.key_file, group.perm_file, *group.companion_files.values()):
             if self.pfs.exists(path):
                 self.pfs.delete(path)
-        for server in self.servers:
-            for rid in range(group.n_regions):
-                for which in ("key", "perm", *group.companion_files):
-                    server.cache.invalidate(
-                        region_key(key_name, rid, replica=f"sorted:{which}")
-                    )
+        self._invalidate_replica_caches(key_name, group)
         for obj in self.objects.values():
             if obj.meta.sorted_by == key_name:
                 obj.meta.sorted_by = None
@@ -1276,32 +1247,18 @@ class PDCSystem:
     # ----------------------------------------------------------------- indexes
     def build_index(self, name: str) -> None:
         """Build per-region WAH bitmap indexes for an object and persist
-        them as index files (§III-D4).  Idempotent."""
+        them as its index file (§III-D4).  Idempotent."""
         obj = self.get_object(name)
         if obj.indexes is not None:
             return
-        indexes: List[RegionBitmapIndex] = []
-        nbytes = np.empty(obj.n_regions, dtype=np.int64)
-        words = np.empty(obj.n_regions, dtype=np.int64)
-        for rid in range(obj.n_regions):
-            off, count = int(obj.offsets[rid]), int(obj.counts[rid])
-            idx = RegionBitmapIndex.build(
-                obj.data[off : off + count], precision=self.config.index_precision
-            )
-            indexes.append(idx)
-            nbytes[rid] = idx.nbytes
-            words[rid] = idx.total_words()
-        # Persist one concatenated index file per object (regions are
-        # extents within it, like the data file).
-        payload = np.concatenate([idx.to_bytes() for idx in indexes])
-        path = f"/pdc/index/{name}"
-        if self.pfs.exists(path):
-            self.pfs.delete(path)
-        self.pfs.create(path, payload, stripe_count=self.config.pdc_stripe_count)
-        obj.indexes = indexes
-        obj.index_nbytes = nbytes
-        obj.index_words = words
-        for rid, region in enumerate(obj.meta.regions):
+        built = [self._build_index(obj.region_data(rid)) for rid in range(obj.n_regions)]
+        obj.indexes = [None] * obj.n_regions
+        obj.index_nbytes = np.empty(obj.n_regions, dtype=np.int64)
+        obj.index_words = np.empty(obj.n_regions, dtype=np.int64)
+        for rid, idx in enumerate(built):
+            self._set_index(obj, rid, idx)
+        path = self._write_index_file(obj)
+        for region in obj.meta.regions:
             region.index_path = path
 
     def index_size_bytes(self, name: str) -> int:

@@ -218,3 +218,42 @@ class TestTelemetry:
         stream.advance_to(0.5)
         # Ingest epochs are outside every request-oriented SLI population.
         assert mon.slo.state("waits").total == 0
+
+    def test_monitor_moves_no_clock(self):
+        """Epoch and compaction hooks are stamped with a pure frontier
+        read: a compacting delta stream leaves every clock bit-identical
+        whether a ServiceMonitor is installed or not."""
+
+        def run(monitor):
+            sysm = loaded()
+            if monitor is not None:
+                sysm.set_monitor(monitor)
+            stream = IngestStream(
+                sysm,
+                IngestConfig(
+                    epoch_interval_s=0.25, maintenance="delta",
+                    index_compact_fraction=0.05,
+                ),
+            )
+            wrng = np.random.default_rng(7)
+            for i in range(12):
+                off = int(wrng.integers(0, (1 << 12) - 64))
+                vals = wrng.random(64).astype(np.float32)
+                stream.update("obj", off, vals, t_s=0.25 * i + 0.01)
+                if i % 4 == 3:
+                    stream.append("obj", vals, t_s=0.25 * i + 0.02)
+                stream.advance_to(0.25 * (i + 1))
+            stream.flush()
+            clocks = {
+                c.name: (c.now, c.breakdown()) for c in sysm.all_clocks()
+            }
+            return stream.totals(), clocks
+
+        monitor = ServiceMonitor()
+        on = run(monitor)
+        assert on == run(None)
+        assert on[0]["epochs"] == 12 and on[0]["compactions"] >= 5
+        series = monitor.recorder.series(
+            "pdc_compaction_delta_elements", labels={"object": "obj"}
+        )
+        assert len(series.samples) == on[0]["compactions"]

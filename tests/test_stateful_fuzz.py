@@ -1,19 +1,24 @@
 """Stateful fuzzing of a whole deployment.
 
 A hypothesis state machine drives a PDCSystem through random interleaved
-operations — imports, updates, index/replica builds and drops, tier
-migrations, server failures/recoveries, cache drops, and queries under
-every strategy — while holding the system to its core invariants:
+operations — imports, overwrites and lockstep appends in both
+maintenance modes, rejected appends, index compaction, index/replica
+builds and drops, tier migrations, server failures/recoveries, cache
+drops, and queries under every strategy — while holding the system to
+its core invariants:
 
 * every query answer equals a numpy model kept alongside;
 * simulated clocks never go backwards;
-* derived state (region min/max) always matches the model data.
+* derived state (region min/max) always matches the model data;
+* an indexed object has one bitmap per region, and its index file holds
+  exactly those bitmaps' bytes.
 
 This is the net for cross-feature interactions the unit suites don't
 enumerate (e.g. update → failed server → sorted query).
 """
 
 import numpy as np
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
@@ -57,6 +62,49 @@ class PDCStateMachine(RuleBasedStateMachine):
         payload = np.full(length, value, dtype=np.float32)
         self.system.update_object_region(name, offset, payload)
         self.model[name][offset : offset + length] = payload
+
+    @rule(
+        name=st.sampled_from(["a", "b"]),
+        offset=st.integers(0, N - 64),
+        length=st.integers(1, 64),
+    )
+    def overwrite_delta(self, name, offset, length):
+        payload = self.rng.gamma(2.0, 0.7, length).astype(np.float32)
+        self.system.update_object_region(name, offset, payload, maintenance="delta")
+        self.model[name][offset : offset + length] = payload
+
+    @rule(
+        length=st.integers(1, 400),
+        maintenance=st.sampled_from(["rebuild", "delta"]),
+    )
+    def append_both(self, length, maintenance):
+        # Lockstep, so joint queries keep operands of equal length.
+        for name in ("a", "b"):
+            payload = self.rng.gamma(2.0, 0.7, length).astype(np.float32)
+            self.system.append_to_object(name, payload, maintenance=maintenance)
+            self.model[name] = np.concatenate([self.model[name], payload])
+
+    @rule(
+        name=st.sampled_from(["a", "b"]),
+        maintenance=st.sampled_from(["rebuild", "delta"]),
+    )
+    def rejected_nan_append(self, name, maintenance):
+        # 300 elements always open a region (256 per region), and the
+        # NaN lands in it: its histogram cannot be built.
+        payload = np.ones(300, dtype=np.float32)
+        payload[-1] = np.nan
+        with pytest.raises(ValueError):
+            self.system.append_to_object(name, payload, maintenance=maintenance)
+        assert self.system.get_object(name).n_elements == self.model[name].size
+
+    @rule(name=st.sampled_from(["a", "b"]))
+    def compact(self, name):
+        obj = self.system.get_object(name)
+        if obj.indexes is not None and obj.index_delta_counts is not None:
+            due = np.flatnonzero(obj.index_delta_counts)
+            if due.size:
+                self.system.compact_region_index(name, due)
+                assert not obj.index_delta_counts.any()
 
     @rule(name=st.sampled_from(["a", "b"]))
     def build_index(self, name):
@@ -140,6 +188,19 @@ class PDCStateMachine(RuleBasedStateMachine):
                 seg = data[obj.offsets[rid] : obj.offsets[rid] + obj.counts[rid]]
                 assert obj.rmin[rid] == seg.min()
                 assert obj.rmax[rid] == seg.max()
+
+    @invariant()
+    def index_file_matches_bitmaps(self):
+        if not hasattr(self, "system"):
+            return
+        for name in self.model:
+            obj = self.system.get_object(name)
+            if obj.indexes is None:
+                continue
+            assert len(obj.indexes) == len(obj.meta.regions) == obj.n_regions
+            on_file = self.system.pfs.read(f"/pdc/index/{name}")
+            expect = np.concatenate([i.to_bytes() for i in obj.indexes])
+            assert np.array_equal(on_file, expect)
 
     @invariant()
     def alive_count_consistent(self):
