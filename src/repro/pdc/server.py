@@ -106,15 +106,10 @@ class PDCServer:
                 )
             self.retries_total += 1
             self._count_retry()
-            backoff = plan.backoff_s(attempt)
-            if self.tracer.enabled:
-                with self.tracer.span(
-                    f"retry:{key}", self.clock, category="fault",
-                    attempt=attempt,
-                ):
-                    self.clock.charge(backoff, category="retry_backoff")
-            else:
-                self.clock.charge(backoff, category="retry_backoff")
+            with self.tracer.span(
+                f"retry:{key}", self.clock, category="fault", attempt=attempt,
+            ):
+                self.clock.charge(plan.backoff_s(attempt), category="retry_backoff")
 
     def _count_fault(self, kind: str) -> None:
         if self.metrics is not None:
@@ -170,14 +165,11 @@ class PDCServer:
             nbytes, n_accesses, tier, stripe_count, concurrent_readers,
             scaled=scaled,
         )
-        if self.tracer.enabled:
-            span_cat = "index_read" if category == "index_read" else "storage_read"
-            with self.tracer.span(
-                f"read:{key}", self.clock, category=span_cat,
-                bytes=nbytes, tier=tier,
-            ):
-                self.faultable_read(key, read_time, category=category)
-        else:
+        with self.tracer.span(
+            f"read:{key}", self.clock,
+            category="index_read" if category == "index_read" else "storage_read",
+            bytes=nbytes, tier=tier,
+        ):
             self.faultable_read(key, read_time, category=category)
         self.cache.put(key, nbytes=nbytes if scaled else 0)
         if self.monitor.enabled:
